@@ -61,9 +61,9 @@ bench-incr:
 bench-sta:
 	go run ./cmd/benchsta
 
-# Batched leaf-solving benchmark: per-leaf vs batched structure-of-arrays
-# dispatch vs the certified float32 fast lane, on both the fixed-work and
-# the converging leaf sets, plus the base-solve and end-to-end benchmarks.
+# Batched leaf-solving benchmark: per-leaf vs the largest-first batched
+# dispatcher on the fixed-work and converging synthetic leaf sets and on a
+# real round's leaf set, plus the base-solve and end-to-end benchmarks.
 # Rewrites the "after" section of BENCH_batch.json ("before" is the seed
 # tree, preserved).
 bench-batch:

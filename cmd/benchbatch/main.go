@@ -9,10 +9,10 @@
 //	go run ./cmd/benchbatch
 //
 // Smoke mode (wired into scripts/check.sh) re-runs the batched-vs-per-leaf
-// differential tests — bitwise float64 equality and the float32 certificate
-// accounting — and a short timing comparison, failing if the batched
-// dispatcher is meaningfully slower than the per-leaf baseline it replaces
-// or if any float32 result commits without certification.
+// differential tests — bitwise equality at any input order and worker
+// count — and a short timing comparison on a real round's pending leaves at
+// GOMAXPROCS=2, failing if the batched dispatcher is meaningfully slower
+// than the parallel per-leaf baseline.
 //
 //	go run ./cmd/benchbatch -smoke
 package main
@@ -59,18 +59,24 @@ func main() {
 
 // smokeTolerance is how much slower than the per-leaf baseline the batched
 // dispatcher may measure before the gate fails. Single-run benchmark
-// comparisons on a loaded machine are noisy; batching's win is bucketed
-// dispatch overhead removal, so a genuine regression shows up far above
-// this bar.
+// comparisons on a loaded machine are noisy; a dispatcher that idles a core,
+// for example by solving one dimension bucket at a time, measures 1.34-1.43x
+// on this leaf set, above this bar.
 const smokeTolerance = 1.25
 
+// smokeProcs is the parallelism the timing comparison runs at: the gate is
+// about keeping both cores of a 2-core box busy. The kernel pool is sized
+// from GOMAXPROCS at package init, so it is set in the environment as well
+// as through -cpu.
+const smokeProcs = "2"
+
 func runSmoke() int {
-	// Correctness first: batched float64 must be bitwise per-leaf at any
-	// worker count, and every float32-lane result must be certified in
-	// float64 or counted as a fallback re-solve.
+	// Correctness first: batched results must be bitwise per-leaf at any
+	// worker count and input order, and a full optimization must commit the
+	// same bits as the serial per-leaf oracle.
 	tests := []struct{ pkg, run string }{
-		{"./internal/sdp/", "TestBatchBitwiseEqualsPerLeaf|TestBatchFloat32CertifiedOrFallback|TestBatchFloat32UnconvergedFallsBack"},
-		{"./internal/core/", "TestBatchedRoundMatchesPerLeaf|TestBatchFloat32EndToEnd"},
+		{"./internal/sdp/", "TestBatchBitwiseEqualsPerLeaf|TestBatchErrorsAreLeafLocal|TestBatchCancellation"},
+		{"./internal/core/", "TestBatchedRoundMatchesPerLeaf|TestUnconvergedCounted"},
 	}
 	for _, tc := range tests {
 		fmt.Printf("benchbatch: go test -run %s %s\n", tc.run, tc.pkg)
@@ -81,15 +87,16 @@ func runSmoke() int {
 		}
 	}
 
-	// Then a short timing comparison on the converging leaf set — the
-	// workload class batching is sold on.
-	got, err := runBench("./internal/sdp/", "BenchmarkLeafSetConvPerLeaf$|BenchmarkLeafSetConvBatched$", "-benchtime", "2x")
+	// Then a short timing comparison on a real round's pending leaf set
+	// (a small-suite instance), at two cores.
+	os.Setenv("GOMAXPROCS", smokeProcs)
+	got, err := runBench("./internal/core/", "BenchmarkRoundLeafSetPerLeaf$|BenchmarkRoundLeafSetBatched$", "-benchtime", "5x", "-cpu", smokeProcs)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchbatch: %v\n", err)
 		return 1
 	}
-	per, okP := got["BenchmarkLeafSetConvPerLeaf"]
-	bat, okB := got["BenchmarkLeafSetConvBatched"]
+	per, okP := got["BenchmarkRoundLeafSetPerLeaf"]
+	bat, okB := got["BenchmarkRoundLeafSetBatched"]
 	if !okP || !okB {
 		fmt.Fprintf(os.Stderr, "benchbatch: timing benchmarks did not both run: %v\n", got)
 		return 1
@@ -111,7 +118,8 @@ func runFull() int {
 		rec = &record{}
 	}
 	suites := []struct{ pkg, pattern string }{
-		{"./internal/sdp/", "BenchmarkSolveLarge$|BenchmarkLeafSetPerLeaf$|BenchmarkLeafSetBatched$|BenchmarkLeafSetBatchedF32$|BenchmarkLeafSetConvPerLeaf$|BenchmarkLeafSetConvBatched$|BenchmarkLeafSetConvBatchedF32$"},
+		{"./internal/sdp/", "BenchmarkSolveLarge$|BenchmarkLeafSetPerLeaf$|BenchmarkLeafSetBatched$|BenchmarkLeafSetConvPerLeaf$|BenchmarkLeafSetConvBatched$"},
+		{"./internal/core/", "BenchmarkRoundLeafSetPerLeaf$|BenchmarkRoundLeafSetBatched$"},
 		{"./internal/incr/", "BenchmarkSessionBaseSolve$"},
 		{".", "BenchmarkTable2SDP$"},
 	}

@@ -119,9 +119,10 @@ func TestRemoteSolverByteIdentity(t *testing.T) {
 	}
 }
 
-func TestRemoteSolverFloat32StaysLocal(t *testing.T) {
-	// The certified float32 lane is pinned local; the worker must never be
-	// consulted, and results must match the plain local float32 solve.
+func TestRemoteSolverWarmPinnedStaysLocal(t *testing.T) {
+	// Leaves carrying a warm iterate (WarmStart mode) are pinned local; the
+	// worker must never be consulted, and results must match the plain
+	// local warm-started solve.
 	var hits atomic.Int64
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
@@ -133,12 +134,12 @@ func TestRemoteSolverFloat32StaysLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	probs := remoteProblemSet()
-	bopt := sdp.BatchOptions{Float32: true}
-	want := sdp.SolveBatchCtx(context.Background(), probs, remoteOpt, nil, bopt)
-	got := rs.SolveBatch(context.Background(), probs, remoteOpt, nil, bopt)
+	warms := sdp.SolveBatchCtx(context.Background(), probs, remoteOpt, nil, sdp.BatchOptions{}).States
+	want := sdp.SolveBatchCtx(context.Background(), probs, remoteOpt, warms, sdp.BatchOptions{})
+	got := rs.SolveBatch(context.Background(), probs, remoteOpt, warms, sdp.BatchOptions{})
 	assertSameResults(t, got, want)
 	if hits.Load() != 0 {
-		t.Fatalf("float32 batch reached the worker %d times", hits.Load())
+		t.Fatalf("warm-pinned batch reached the worker %d times", hits.Load())
 	}
 	if st := rs.Stats(); st.LocalLeaves != uint64(len(probs)) || st.RemoteBuckets != 0 {
 		t.Fatalf("stats: %+v", st)

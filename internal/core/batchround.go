@@ -10,24 +10,21 @@ import (
 	"repro/internal/tree"
 )
 
-// solveRoundBatched is the round-level batched leaf dispatch for the
-// ADMM-SDP engine: instead of each worker goroutine building and solving one
-// leaf end to end, the round runs in three phases —
+// solveRoundBatched is the round-level leaf dispatch for the ADMM-SDP
+// engine. The round runs in three phases —
 //
 //  1. build + cache probe, parallel across leaves: the lifted relaxation is
-//     constructed and the memo/revalidation tiers are consulted exactly as
-//     the per-leaf path does;
-//  2. one sdp.SolveBatchCtx call over every leaf that needs a fresh solve:
-//     leaves are bucketed by matrix dimension and iterated in
-//     structure-of-arrays lanes, waking the kernel pool once per bucket;
+//     constructed and the memo/revalidation tiers are consulted;
+//  2. one LeafSolver.SolveBatch call (sdp.SolveBatchCtx by default) over
+//     every leaf that needs a fresh solve: a few lanes take the pending
+//     leaves largest first, so both cores stay busy to the end of the solve;
 //  3. readout + post-mapping, parallel across leaves, with the OnSDP auditor
 //     hook fired for each freshly solved relaxation.
 //
-// With float64 lanes (BatchAuto) the committed layers are bit-identical to
-// the per-leaf path: the batch solver is bitwise-equal to per-leaf
-// Workspace solves at any worker count, and every other phase is the same
-// code. BatchFloat32 substitutes the certified float32 lane, whose committed
-// results carry a float64 certificate or are transparent float64 re-solves.
+// The committed layers are bit-identical to solving every pending leaf
+// serially with Workspace.SolveCtx in input order: the batch solver is
+// bitwise-equal to per-leaf solves at any worker count and input order, and
+// phases 1 and 3 are per-leaf code whose outputs land in per-leaf slots.
 func solveRoundBatched(ctx context.Context, in *buildInput, trees []*tree.Tree, leaves []*partition.Leaf, opt Options, cache *SolveCache) ([]proposal, sdp.BatchStats) {
 	proposals := make([]proposal, len(leaves))
 	sls := make([]*sdpLeaf, len(leaves))
@@ -66,10 +63,7 @@ func solveRoundBatched(ctx context.Context, in *buildInput, trees []*tree.Tree, 
 	br := solver.SolveBatch(ctx, probs, sdp.Options{
 		MaxIters: opt.SDPIters,
 		Tol:      opt.SDPTol,
-	}, warms, sdp.BatchOptions{
-		Float32: opt.BatchLeaves == BatchFloat32,
-		Workers: opt.Workers,
-	})
+	}, warms, sdp.BatchOptions{Workers: opt.Workers})
 
 	// Phase 3: readout and post-mapping in parallel. posOf maps a leaf index
 	// to its slot in the batch result.
@@ -95,8 +89,8 @@ func solveRoundBatched(ctx context.Context, in *buildInput, trees []*tree.Tree, 
 	return proposals, br.Stats
 }
 
-// runLeafParallel fans f out over [0, n) on up to workers goroutines — the
-// same bounded-worker shape as the per-leaf dispatch.
+// runLeafParallel fans f out over [0, n) on up to workers goroutines: the
+// batched round's build and readout phases, and the IPM/ILP leaf solves.
 func runLeafParallel(n, workers int, f func(i int)) {
 	if n == 0 {
 		return
@@ -116,7 +110,7 @@ func runLeafParallel(n, workers int, f func(i int)) {
 }
 
 // mapLeaf rounds a leaf's fractional solution into per-item layer choices —
-// the shared tail of the per-leaf and batched paths.
+// the shared tail of the batched ADMM and the per-leaf IPM/ILP paths.
 func mapLeaf(p *problem, xFrac [][]float64, opt Options) ([]int, error) {
 	var choice []int
 	switch opt.Mapping {

@@ -59,37 +59,6 @@ func (m Mapping) String() string {
 	return "alg1"
 }
 
-// BatchMode selects how a round's ADMM leaf solves are dispatched.
-type BatchMode int
-
-const (
-	// BatchAuto (default) solves each round's leaves through the bucketed
-	// structure-of-arrays batch solver (sdp.SolveBatch) in float64 — leaves
-	// are grouped by matrix dimension and iterated in slab-backed lanes that
-	// wake the kernel pool once per bucket. Bit-identical to BatchOff at any
-	// worker count; only the ADMM backend batches (IPM and ILP always run
-	// per leaf).
-	BatchAuto BatchMode = iota
-	// BatchOff restores the historical per-leaf dispatch.
-	BatchOff
-	// BatchFloat32 batches with the certified float32 fast lane: leaves
-	// iterate in float32 slabs, every result is re-verified in float64
-	// against the solver tolerance, and certificate failures transparently
-	// re-solve in float64 (counted in RoundStats.F32Fallbacks). Committed
-	// metrics are float64-consistent but not bitwise-identical to BatchOff.
-	BatchFloat32
-)
-
-func (m BatchMode) String() string {
-	switch m {
-	case BatchOff:
-		return "off"
-	case BatchFloat32:
-		return "float32"
-	}
-	return "auto"
-}
-
 // SDPSolver selects the semidefinite solver backend.
 type SDPSolver int
 
@@ -143,16 +112,11 @@ type Options struct {
 	// SDPSolver selects the SDP backend: the first-order ADMM (default) or
 	// the CSDP-style interior-point method.
 	SDPSolver SDPSolver
-	// BatchLeaves selects the round-level leaf dispatch for the ADMM
-	// backend: batched float64 lanes (BatchAuto, the default,
-	// bit-identical to per-leaf), per-leaf (BatchOff), or batched with the
-	// certified float32 fast lane (BatchFloat32, opt-in).
-	BatchLeaves BatchMode
 	// LeafSolver, when non-nil, replaces the in-process batched dispatch
 	// with a custom one — the cluster fan-out installs a remote solver
 	// here. Implementations must return results byte-identical to the
-	// local sdp.SolveBatchCtx (see LeafSolver). Consulted only on the
-	// batched ADMM path; ignored with BatchOff or the IPM/ILP backends.
+	// local sdp.SolveBatchCtx (see LeafSolver). Consulted only by the ADMM
+	// backend; the IPM and ILP backends solve each leaf in-process.
 	LeafSolver LeafSolver
 	// ILPMaxNodes / ILPGap control branch and bound (0 → 4000 / 0.02).
 	ILPMaxNodes int
@@ -322,18 +286,15 @@ type RoundStats struct {
 	// path is doing rank-k work instead of O(n³) full decompositions.
 	AvgRankFrac float64
 	// BatchBuckets / BatchedLeaves report the round's batched dispatch: how
-	// many distinct matrix dimensions were bucketed and how many leaves were
-	// solved through bucket lanes. Zero with BatchOff, the IPM/ILP backends,
-	// or when every leaf was served from the cache.
+	// many distinct matrix dimensions were solved and how many leaves went
+	// through the dispatcher. Zero with the IPM/ILP backends, or when every
+	// leaf was served from the cache.
 	BatchBuckets  int
 	BatchedLeaves int
-	// F32Fallbacks counts float32-lane leaves whose float64 certificate
-	// failed and were transparently re-solved in float64 this round (nonzero
-	// only with BatchFloat32). F32Certified is the complementary count of
-	// leaves whose float32 iterate was committed under a passing
-	// certificate.
-	F32Fallbacks int
-	F32Certified int
+	// Unconverged counts this round's fresh SDP leaf solves that returned
+	// Converged=false — for the ADMM backend, solves that stopped at the
+	// SDPIters cap without meeting SDPTol. Cache-served leaves never count.
+	Unconverged int
 	// LeafSizeHist counts this round's solved leaves by SDP matrix
 	// dimension: bucket i counts dimensions ≤ LeafSizeBuckets[i], the last
 	// bucket the overflow. All-zero for ILP rounds (no SDP dimension). A
@@ -343,8 +304,8 @@ type RoundStats struct {
 
 // LeafSizeBuckets are the upper bounds of RoundStats.LeafSizeHist's buckets
 // (SDP matrix dimension n = 1 + Σ legal layers + capacity slacks). The
-// batched solver groups leaves by exact dimension; the histogram shows the
-// distribution those buckets are drawn from.
+// batched solver orders leaves by exact dimension, largest first; the
+// histogram shows the distribution they are drawn from.
 var LeafSizeBuckets = [...]int{16, 32, 48, 64, 96, 128, 192}
 
 // leafSizeBucket returns the LeafSizeHist slot for dimension n.
@@ -367,6 +328,8 @@ type Result struct {
 	// SolveErrors counts partitions whose solver failed (left at their
 	// previous assignment).
 	SolveErrors int
+	// Unconverged totals RoundStats.Unconverged over every executed round.
+	Unconverged int
 	// RoundLog holds per-round telemetry in execution order.
 	RoundLog []RoundStats
 
@@ -441,20 +404,19 @@ func OptimizeCtx(ctx context.Context, st *pipeline.State, released []int, opt Op
 		res.Partitions = len(leaves)
 
 		// Solve every leaf; proposals are independent because each leaf owns
-		// its segments and reads frozen grid state. The ADMM backend batches
-		// the round's solves by matrix dimension unless BatchOff (bitwise
-		// neutral — see solveRoundBatched); other backends run per leaf.
+		// its segments and reads frozen grid state. The ADMM backend hands
+		// the round's fresh solves to one batched dispatch (bitwise neutral —
+		// see solveRoundBatched); IPM and ILP run per leaf.
 		var proposals []proposal
 		var batchStats sdp.BatchStats
-		if opt.Engine == EngineSDP && opt.SDPSolver == SolverADMM && opt.BatchLeaves != BatchOff {
+		if opt.Engine == EngineSDP && opt.SDPSolver == SolverADMM {
 			proposals, batchStats = solveRoundBatched(ctx, in, st.Trees, leaves, opt, cache)
 		} else {
 			proposals = make([]proposal, len(leaves))
 			runLeafParallel(len(leaves), opt.Workers, func(li int) {
 				leaf := leaves[li]
-				key := leafKey(leaf)
-				layers, ls, err := solveLeaf(ctx, in, st.Trees, leaf, opt, cache, key)
-				proposals[li] = proposal{leaf: leaf, layers: layers, key: key, stats: ls, err: err}
+				layers, ls, err := solveLeaf(ctx, in, st.Trees, leaf, opt)
+				proposals[li] = proposal{leaf: leaf, layers: layers, key: leafKey(leaf), stats: ls, err: err}
 			})
 		}
 
@@ -500,6 +462,9 @@ func OptimizeCtx(ctx context.Context, st *pipeline.State, released []int, opt Op
 			if pr.stats.reval {
 				stats.RevalHits++
 			}
+			if pr.stats.unconv {
+				stats.Unconverged++
+			}
 			proj.Accumulate(pr.stats.proj)
 			cache.store(pr.key, pr.stats.cache)
 		}
@@ -508,9 +473,8 @@ func OptimizeCtx(ctx context.Context, st *pipeline.State, released []int, opt Op
 		stats.PSDFullEig = proj.FullEig
 		stats.PSDFallbacks = proj.JacobiFallbacks + proj.PartialAborts
 		stats.AvgRankFrac = proj.AvgRankFrac()
-		stats.F32Fallbacks = proj.F32Fallbacks
-		stats.F32Certified = proj.F32Certified
 		res.SolveErrors += stats.SolveErrors
+		res.Unconverged += stats.Unconverged
 		for _, ni := range work {
 			st.Trees[ni].ApplyUsage(g, +1)
 		}
@@ -628,13 +592,14 @@ type leafCache struct {
 // leafStats carries per-leaf solver telemetry and the cache record that
 // accelerates the same leaf next round.
 type leafStats struct {
-	iters int
-	warm  bool
-	memo  bool // exact solution served from the cache, solver skipped
-	reval bool // cached solution reused by the revalidation tier (epsilon)
-	dim   int  // SDP matrix dimension of the leaf relaxation (0: ILP)
-	cache *leafCache
-	proj  sdp.SolveStats // PSD-projection path telemetry (ADMM backend only)
+	iters  int
+	warm   bool
+	memo   bool // exact solution served from the cache, solver skipped
+	reval  bool // cached solution reused by the revalidation tier (epsilon)
+	unconv bool // fresh SDP solve that returned Converged=false
+	dim    int  // SDP matrix dimension of the leaf relaxation (0: ILP)
+	cache  *leafCache
+	proj   sdp.SolveStats // PSD-projection path telemetry (ADMM backend only)
 }
 
 // proposal is one leaf's round outcome awaiting commit.
@@ -646,10 +611,10 @@ type proposal struct {
 	err    error
 }
 
-// solveLeaf builds and solves one partition, returning the chosen layer per
-// leaf item. The cache accelerates the ADMM backend under the leaf's key;
-// ctx cancellation aborts the underlying solver mid-iteration.
-func solveLeaf(ctx context.Context, in *buildInput, trees []*tree.Tree, leaf *partition.Leaf, opt Options, cache *SolveCache, key uint64) ([]int, leafStats, error) {
+// solveLeaf builds and solves one partition with the IPM or ILP backend,
+// returning the chosen layer per leaf item; ctx cancellation aborts the
+// underlying solver mid-iteration.
+func solveLeaf(ctx context.Context, in *buildInput, trees []*tree.Tree, leaf *partition.Leaf, opt Options) ([]int, leafStats, error) {
 	items := make([]item, len(leaf.Items))
 	for i, it := range leaf.Items {
 		items[i] = item{treeIdx: it.Tree, segID: it.Seg}
@@ -663,7 +628,7 @@ func solveLeaf(ctx context.Context, in *buildInput, trees []*tree.Tree, leaf *pa
 	case EngineILP:
 		xFrac, err = solveILP(ctx, p, opt)
 	default:
-		xFrac, ls, err = solveSDP(ctx, p, opt, cache, key)
+		xFrac, ls, err = solveIPM(ctx, p, opt)
 	}
 	if err != nil {
 		return nil, ls, err

@@ -8,19 +8,19 @@ import (
 
 // LeafSolver dispatches one round's batched ADMM leaf solves. The default
 // (nil) runs sdp.SolveBatchCtx in-process; a non-nil implementation may
-// route buckets elsewhere — the cluster package's RemoteSolver fans them
-// out to worker processes over HTTP — but the contract is strict: for the
-// same inputs the returned Results must be byte-identical to what the local
-// sdp.SolveBatchCtx would produce, at any worker topology. The float64 ADMM
-// is deterministic and the batched dispatch is bitwise-equal to per-leaf
-// solves, so any implementation that ultimately runs the same solver
-// satisfies this by construction.
+// route leaves elsewhere — the cluster package's RemoteSolver fans
+// same-dimension groups out to worker processes over HTTP — but the
+// contract is strict: for the same inputs the returned Results must be
+// byte-identical to what the local sdp.SolveBatchCtx would produce, at any
+// worker topology. The ADMM is deterministic and the batched dispatch is
+// bitwise-equal to per-leaf solves, so any implementation that ultimately
+// runs the same solver satisfies this by construction.
 //
 // States may be nil-filled: per-leaf warm states only donate setup-cost
 // accelerations (a Gram Cholesky factor that is value-identical to
 // recomputing it), so dropping them never changes committed results.
-// Implementations are consulted only by the batched ADMM round path; the
-// IPM and ILP backends and BatchOff always solve locally.
+// Implementations are consulted by every ADMM round; the IPM and ILP
+// backends always solve locally.
 type LeafSolver interface {
 	SolveBatch(ctx context.Context, probs []*sdp.Problem, opt sdp.Options, warms []*sdp.State, bopt sdp.BatchOptions) *sdp.BatchResult
 }

@@ -3,21 +3,15 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/sdp"
 )
 
-// sdpWorkspaces pools ADMM workspaces across the parallel leaf solvers:
-// each solve borrows one, so the steady-state iteration path allocates
-// nothing beyond the problem description itself.
-var sdpWorkspaces = sync.Pool{New: func() any { return sdp.NewWorkspace() }}
-
 // sdpLeaf is one partition leaf's built semidefinite relaxation plus the
 // index map needed to read fractional layer preferences back out of the
 // solved matrix. Splitting build and readout from the solve lets the round
-// loop batch the solves of many leaves (see solveRoundBatched) without
-// duplicating the lifting.
+// loop batch the ADMM solves of many leaves (see solveRoundBatched) while
+// the IPM backend (solveIPM) shares the same lifting.
 type sdpLeaf struct {
 	p    *problem
 	prob *sdp.Problem
@@ -215,49 +209,26 @@ func finishSDPLeaf(sl *sdpLeaf, res *sdp.Result, state *sdp.State, pending *leaf
 	out := sl.readout(res)
 	pending.state = state
 	pending.xFrac = out
-	ls := leafStats{iters: res.Iters, warm: res.Warm, cache: pending, proj: res.Stats, dim: sl.dim()}
+	ls := leafStats{iters: res.Iters, warm: res.Warm, unconv: !res.Converged, cache: pending, proj: res.Stats, dim: sl.dim()}
 	return out, ls
 }
 
-// solveSDP builds and solves one partition leaf's relaxation through the
-// per-leaf path (the IPM backend, and the ADMM backend when round-level
-// batching is off). The batched round path shares every phase — build,
-// cache probe, readout — and differs only in dispatching the ADMM solves
-// bucket-wise (see solveRoundBatched).
-func solveSDP(ctx context.Context, p *problem, opt Options, cache *SolveCache, key uint64) ([][]float64, leafStats, error) {
+// solveIPM builds and solves one partition leaf's relaxation with the
+// interior-point backend. It bypasses the solve cache: the tiers there
+// reuse ADMM states, which the IPM neither donates nor accepts.
+func solveIPM(ctx context.Context, p *problem, opt Options) ([][]float64, leafStats, error) {
 	sl := buildSDPLeaf(p)
-
-	if opt.SDPSolver == SolverIPM {
-		// Post-mapping needs ranking rather than certificates; 1e-4 with a
-		// generous iteration cap is plenty and much faster than full
-		// convergence on the larger partitions.
-		res, err := sdp.SolveIPMCtx(ctx, sl.prob, sdp.Options{MaxIters: 120, Tol: 1e-4})
-		if err != nil {
-			return nil, leafStats{dim: sl.dim()}, fmt.Errorf("core: partition SDP (%v) failed: %w", opt.SDPSolver, err)
-		}
-		if opt.OnSDP != nil {
-			opt.OnSDP(sl.prob, res)
-		}
-		return sl.readout(res), leafStats{dim: sl.dim()}, nil
-	}
-
-	pr := probeSDPCache(sl, opt, cache, key)
-	if pr.xFrac != nil {
-		return pr.xFrac, pr.ls, nil
-	}
-	ws := sdpWorkspaces.Get().(*sdp.Workspace)
-	res, err := ws.SolveCtx(ctx, sl.prob, sdp.Options{
-		MaxIters: opt.SDPIters,
-		Tol:      opt.SDPTol,
-	}, pr.warm)
+	// Post-mapping needs ranking rather than certificates; 1e-4 with a
+	// generous iteration cap is plenty and much faster than full
+	// convergence on the larger partitions.
+	res, err := sdp.SolveIPMCtx(ctx, sl.prob, sdp.Options{MaxIters: 120, Tol: 1e-4})
 	if err != nil {
-		sdpWorkspaces.Put(ws)
 		return nil, leafStats{dim: sl.dim()}, fmt.Errorf("core: partition SDP (%v) failed: %w", opt.SDPSolver, err)
 	}
-	state := ws.State()
-	sdpWorkspaces.Put(ws)
-	out, ls := finishSDPLeaf(sl, res, state, pr.cache, opt)
-	return out, ls, nil
+	if opt.OnSDP != nil {
+		opt.OnSDP(sl.prob, res)
+	}
+	return sl.readout(res), leafStats{dim: sl.dim(), unconv: !res.Converged}, nil
 }
 
 // costScale normalizes objective magnitudes so the ADMM penalty

@@ -101,6 +101,9 @@ type DeltaResult struct {
 	// CacheEvictions counts solve-cache LRU evictions during the solve —
 	// nonzero means Config.CacheEntries is under pressure.
 	CacheEvictions int `json:"cache_evictions,omitempty"`
+	// Unconverged counts the solve's fresh leaf solves that returned
+	// Converged=false (the ADMM stopped at its iteration cap).
+	Unconverged int `json:"unconverged"`
 	// DirtyLeafRatio = (LeafSolves − MemoHits − RevalHits) / LeafSolves:
 	// the measured fraction of leaf problems that actually changed and were
 	// re-solved.
@@ -459,6 +462,7 @@ func (s *Session) resolve(ctx context.Context, applied int, changed []int, rects
 		Before:               r.Before,
 		After:                r.After,
 		Rounds:               r.Rounds,
+		Unconverged:          r.Unconverged,
 		PredictedLeaves:      total,
 		PredictedDirtyLeaves: dirty,
 		Overflow:             g.CollectOverflow(),

@@ -94,9 +94,10 @@ acquire:
 // ParallelRange exposes the kernel pool's range fan-out to sibling
 // packages: f runs over disjoint contiguous ranges covering [0, n), each at
 // least minChunk long, drawn from the shared non-blocking helper pool. The
-// batched SDP solver uses it to wake the pool once per dimension bucket —
-// one fan-out amortized over every leaf in the bucket — instead of once per
-// dense kernel. Because ranges are disjoint and the per-item work is
+// batched SDP solver starts its leaf lanes through it once per round, so
+// the lanes hold the helper slots while they drain the round's leaves and
+// hand each slot back to the dense kernels of still-running leaves as they
+// finish. Because ranges are disjoint and the per-item work is
 // self-contained, any split (including the serial degradation) produces
 // identical results.
 func ParallelRange(n, minChunk int, f func(lo, hi int)) {

@@ -5,52 +5,46 @@ import (
 	"errors"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/linalg"
 )
 
 // This file implements batched leaf solving: a round's independent
-// per-partition SDPs are bucketed by matrix dimension n, each bucket's
-// working set is laid out as contiguous structure-of-arrays slabs (the five
-// dense ADMM iterates of a lane — C, X, S, V, scratch — are adjacent arrays
-// in one allocation, likewise the five constraint vectors), and the shared
-// kernel pool is woken exactly once per bucket: one ParallelRange fan-out
-// hands each lane a contiguous run of leaves to solve to completion.
+// per-partition SDPs go through one work-stealing dispatcher. The pending
+// leaves are ordered largest dimension first, a few lanes (one per core the
+// kernel pool can offer) each take the next leaf off a shared atomic
+// counter, and every lane solves in a pooled slab workspace: the five dense
+// ADMM iterates of a lane — C, X, S, V, scratch — are adjacent arrays in
+// one allocation, likewise the five constraint vectors. Largest-first keeps
+// both cores busy to the end of the round: the big leaves start early, and
+// the tail is made of small leaves that finish together. When a lane
+// drains, its pool slot frees, so the dense kernels of the last big leaf
+// still running can borrow that core.
 //
-// Bitwise contract: the float64 batched path produces results bit-identical
-// to per-leaf Workspace solves at any worker count. This holds by
-// construction — each leaf still runs the exact SolveCtx iteration, whose
-// output depends only on (problem, options, warm state), never on workspace
-// buffer history (every buffer is fully overwritten before use); the lane
-// split only decides WHICH slab a leaf's arithmetic runs in. The float32
-// fast lane (batch32.go) trades that guarantee for a float64-certified
-// result instead and is opt-in.
+// Bitwise contract: the batched path produces results bit-identical to
+// per-leaf Workspace solves at any worker count and in any input order.
+// This holds by construction — each leaf still runs the exact SolveCtx
+// iteration, whose output depends only on (problem, options, warm state),
+// never on workspace buffer history (every buffer is fully overwritten
+// before use); the dispatcher only decides WHICH lane's slab a leaf's
+// arithmetic runs in.
 
 // BatchOptions tunes SolveBatch.
 type BatchOptions struct {
-	// Float32 enables the certified float32 fast lane: buckets iterate in
-	// float32 slabs, every result is re-verified in float64 (residuals
-	// recomputed, the iterate polished through a float64 PSD projection),
-	// and any leaf whose certificate fails is transparently re-solved in
-	// float64 (counted in ProjStats.F32Fallbacks).
-	Float32 bool
-	// Workers caps the lanes per bucket; 0 means one lane per helper the
-	// kernel pool can offer (GOMAXPROCS). The cap changes scheduling only,
-	// never float64 results.
+	// Workers caps the lanes; 0 means one lane per helper the kernel pool
+	// can offer (GOMAXPROCS). The cap changes scheduling only, never
+	// results.
 	Workers int
 }
 
 // BatchStats aggregates what the batch dispatcher did; per-leaf solver
 // telemetry stays in each Result.Stats.
 type BatchStats struct {
-	// Buckets is the number of distinct matrix dimensions batched.
+	// Buckets is the number of distinct matrix dimensions solved.
 	Buckets int
-	// BatchedLeaves is the number of problems solved through bucket lanes.
+	// BatchedLeaves is the number of problems the dispatcher solved.
 	BatchedLeaves int
-	// F32Certified / F32Fallbacks total the float32-lane outcomes over all
-	// leaves (sums of the per-result ProjStats counters).
-	F32Certified int
-	F32Fallbacks int
 }
 
 // BatchResult holds per-problem outcomes, index-aligned with the input.
@@ -75,21 +69,19 @@ func (br *BatchResult) Err() error {
 
 // batchLane is one lane's slab-backed workspace. The five dense matrices
 // live adjacently in one slab allocation, the five constraint vectors in
-// another; a lane solves its run of leaves to completion, rebinding only
-// the vector lengths between leaves of differing constraint counts.
+// another; both only grow, so a lane that starts on the largest leaf never
+// allocates them again.
 type batchLane struct {
 	slab  []float64
 	vslab []float64
 	ws    Workspace
-	l32   *lane32 // float32 fast-lane state, allocated on first use
 }
 
 var lanePool = sync.Pool{New: func() any { return new(batchLane) }}
 
-// bind points the lane workspace at slab views for dimension n and
-// constraint capacity mCap. After bind, SolveCtx's ensure() is a no-op for
-// any leaf with this n and m ≤ mCap (setM adjusts lengths per leaf).
-func (l *batchLane) bind(n, mCap int) {
+// bind points the lane workspace at slab views for an n-dimensional leaf
+// with m constraints, after which SolveCtx's ensure() is a no-op.
+func (l *batchLane) bind(n, m int) {
 	nn := n * n
 	if cap(l.slab) < 5*nn {
 		l.slab = make([]float64, 5*nn)
@@ -100,51 +92,41 @@ func (l *batchLane) bind(n, mCap int) {
 	}
 	l.ws.n = n
 	l.ws.cDense, l.ws.x, l.ws.s, l.ws.v, l.ws.scratch = mat(0), mat(1), mat(2), mat(3), mat(4)
-	if cap(l.vslab) < 5*mCap {
-		l.vslab = make([]float64, 5*mCap)
+	if cap(l.vslab) < 5*m {
+		l.vslab = make([]float64, 5*m)
 	}
-	l.setM(mCap, mCap)
-}
-
-// setM re-slices the vector views for a leaf with m constraints (m ≤ mCap).
-func (l *batchLane) setM(m, mCap int) {
-	v := l.vslab[:5*mCap]
-	vec := func(k int) []float64 { return v[k*mCap : k*mCap+m : (k+1)*mCap] }
+	v := l.vslab[:5*m]
+	vec := func(k int) []float64 { return v[k*m : (k+1)*m : (k+1)*m] }
 	l.ws.m = m
 	l.ws.b, l.ws.y, l.ws.ax, l.ws.rhs, l.ws.solveWork = vec(0), vec(1), vec(2), vec(3), vec(4)
 }
 
-// SolveBatch solves a set of independent problems with bucketed
-// structure-of-arrays dispatch. See SolveBatchCtx.
+// SolveBatch solves a set of independent problems through the largest-first
+// dispatcher. See SolveBatchCtx.
 func SolveBatch(probs []*Problem, opt Options, warms []*State, bopt BatchOptions) *BatchResult {
 	return SolveBatchCtx(context.Background(), probs, opt, warms, bopt)
 }
 
-// SolveBatchCtx buckets probs by dimension and solves each bucket through
-// slab-backed lanes, waking the kernel pool once per bucket. warms may be
-// nil, or index-aligned with probs (nil entries mean cold starts). Results,
-// states and errors come back index-aligned. The float64 path is bitwise
-// identical to per-leaf Workspace.SolveCtx calls at any BatchOptions.Workers;
-// with bopt.Float32 every committed result carries a float64 certificate or
-// was re-solved in float64 (see lane32.solve).
+// SolveBatchCtx solves probs on min(bopt.Workers, linalg.KernelParallelism(),
+// len(probs)) lanes that take leaves largest dimension first (ties in input
+// order) from a shared counter. The lanes start through
+// linalg.ParallelRange, so they hold the kernel pool's helper slots and no
+// core is oversubscribed. warms may be nil, or index-aligned with probs (nil
+// entries mean cold starts). Results, states and errors come back
+// index-aligned, and each is bitwise identical to a per-leaf
+// Workspace.SolveCtx call.
 func SolveBatchCtx(ctx context.Context, probs []*Problem, opt Options, warms []*State, bopt BatchOptions) *BatchResult {
 	br := &BatchResult{
 		Results: make([]*Result, len(probs)),
 		States:  make([]*State, len(probs)),
 		Errs:    make([]error, len(probs)),
 	}
-	if len(probs) == 0 {
-		return br
-	}
 	if warms != nil && len(warms) != len(probs) {
 		panic("sdp: SolveBatch warms length mismatch")
 	}
 
-	// Bucket by dimension; original order is kept inside each bucket and
-	// buckets run smallest-n first (deterministic, and small buckets vacate
-	// cache before the big ones need it).
-	buckets := make(map[int][]int)
-	var dims []int
+	order := make([]int, 0, len(probs))
+	dims := make(map[int]bool)
 	for i, p := range probs {
 		if p == nil {
 			br.Errs[i] = errors.New("sdp: nil problem in batch")
@@ -154,71 +136,47 @@ func SolveBatchCtx(ctx context.Context, probs []*Problem, opt Options, warms []*
 			br.Errs[i] = errors.New("sdp: empty problem")
 			continue
 		}
-		if _, seen := buckets[p.N]; !seen {
-			dims = append(dims, p.N)
-		}
-		buckets[p.N] = append(buckets[p.N], i)
+		order = append(order, i)
+		dims[p.N] = true
 	}
-	sort.Ints(dims)
+	br.Stats.Buckets = len(dims)
+	br.Stats.BatchedLeaves = len(order)
+	if len(order) == 0 {
+		return br
+	}
+	sort.SliceStable(order, func(a, b int) bool { return probs[order[a]].N > probs[order[b]].N })
 
-	for _, n := range dims {
-		idxs := buckets[n]
-		br.Stats.Buckets++
-		br.Stats.BatchedLeaves += len(idxs)
-		mCap := 0
-		for _, i := range idxs {
-			if m := len(probs[i].Constraints); m > mCap {
-				mCap = m
-			}
-		}
-		lanes := bopt.Workers
-		if lanes <= 0 {
-			lanes = linalg.KernelParallelism()
-		}
-		if lanes > len(idxs) {
-			lanes = len(idxs)
-		}
-		useF32 := bopt.Float32 && n >= f32MinDim
-		chunk := (len(idxs) + lanes - 1) / lanes
-		// One pool wake per bucket: each lane binds a slab workspace and
-		// drains its contiguous run of leaves.
-		linalg.ParallelRange(len(idxs), chunk, func(lo, hi int) {
-			lane := lanePool.Get().(*batchLane)
-			lane.bind(n, mCap)
-			defer lanePool.Put(lane)
-			for _, i := range idxs[lo:hi] {
-				p := probs[i]
-				var warm *State
-				if warms != nil {
-					warm = warms[i]
-				}
-				lane.setM(len(p.Constraints), mCap)
-				var res *Result
-				var st *State
-				var err error
-				if useF32 {
-					res, st, err = lane.solve32(ctx, p, opt, warm)
-				} else {
-					res, err = lane.ws.SolveCtx(ctx, p, opt, warm)
-					if err == nil {
-						st = lane.ws.State()
-					}
-				}
-				if err != nil {
-					br.Errs[i] = err
-					continue
-				}
-				br.Results[i] = res
-				br.States[i] = st
-			}
-		})
+	lanes := linalg.KernelParallelism()
+	if bopt.Workers > 0 && bopt.Workers < lanes {
+		lanes = bopt.Workers
 	}
-
-	for _, res := range br.Results {
-		if res != nil {
-			br.Stats.F32Certified += res.Stats.F32Certified
-			br.Stats.F32Fallbacks += res.Stats.F32Fallbacks
-		}
+	if lanes > len(order) {
+		lanes = len(order)
 	}
+	var next atomic.Int64
+	linalg.ParallelRange(lanes, 1, func(lo, hi int) {
+		lane := lanePool.Get().(*batchLane)
+		defer lanePool.Put(lane)
+		for {
+			k := int(next.Add(1) - 1)
+			if k >= len(order) {
+				return
+			}
+			i := order[k]
+			p := probs[i]
+			var warm *State
+			if warms != nil {
+				warm = warms[i]
+			}
+			lane.bind(p.N, len(p.Constraints))
+			res, err := lane.ws.SolveCtx(ctx, p, opt, warm)
+			if err != nil {
+				br.Errs[i] = err
+				continue
+			}
+			br.Results[i] = res
+			br.States[i] = lane.ws.State()
+		}
+	})
 	return br
 }

@@ -47,34 +47,6 @@ func TestBackendSpecValidation(t *testing.T) {
 		}
 	}
 
-	batchCases := []struct {
-		batch string
-		ok    bool
-		mode  core.BatchMode
-	}{
-		{"", true, core.BatchAuto},
-		{"auto", true, core.BatchAuto},
-		{"off", true, core.BatchOff},
-		{"float32", true, core.BatchFloat32},
-		{"f32", false, 0},
-		{"on", false, 0},
-	}
-	for _, tc := range batchCases {
-		spec := JobSpec{Gen: gen, Options: &SolveOptions{Batch: tc.batch}}
-		err := spec.Validate()
-		if tc.ok && err != nil {
-			t.Errorf("batch %q: unexpected error %v", tc.batch, err)
-		}
-		if !tc.ok && err == nil {
-			t.Errorf("batch %q: expected validation error", tc.batch)
-		}
-		if tc.ok {
-			if got := spec.coreOptions(nil).BatchLeaves; got != tc.mode {
-				t.Errorf("batch %q maps to core mode %v, want %v", tc.batch, got, tc.mode)
-			}
-		}
-	}
-
 	sessionCases := []struct {
 		backend string
 		ok      bool

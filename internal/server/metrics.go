@@ -26,10 +26,9 @@ type Metrics struct {
 	ADMMIters  atomic.Int64 // total ADMM iterations over all rounds
 	WarmStarts atomic.Int64 // total warm-started leaf solves
 
-	BatchBuckets  atomic.Int64 // dimension buckets formed by batched rounds
-	BatchedLeaves atomic.Int64 // leaf solves dispatched through SoA lanes
-	F32Certified  atomic.Int64 // float32 lane results with a float64 certificate
-	F32Fallbacks  atomic.Int64 // float32 lane leaves re-solved in float64
+	BatchBuckets  atomic.Int64 // distinct leaf dimensions solved by batched rounds
+	BatchedLeaves atomic.Int64 // leaf solves through the batched dispatcher
+	Unconverged   atomic.Int64 // fresh leaf solves that returned Converged=false
 
 	// leafSizeHist counts solved leaves by SDP matrix dimension, bucketed
 	// per core.LeafSizeBuckets (last bucket is the overflow).
@@ -114,16 +113,15 @@ type kindCounters struct {
 	dirtySumMicro atomic.Int64
 }
 
-// ObserveRound folds one optimizer round's telemetry into the counters:
-// iteration and warm-start totals, batched-dispatch and float32-lane
+// ObserveRound folds one job round's telemetry into the counters:
+// iteration and warm-start totals, batched-dispatch and unconverged-solve
 // accounting, and the leaf-size histogram.
 func (m *Metrics) ObserveRound(rs core.RoundStats) {
 	m.ADMMIters.Add(int64(rs.ADMMIters))
 	m.WarmStarts.Add(int64(rs.WarmStarts))
 	m.BatchBuckets.Add(int64(rs.BatchBuckets))
 	m.BatchedLeaves.Add(int64(rs.BatchedLeaves))
-	m.F32Certified.Add(int64(rs.F32Certified))
-	m.F32Fallbacks.Add(int64(rs.F32Fallbacks))
+	m.Unconverged.Add(int64(rs.Unconverged))
 	for i, c := range rs.LeafSizeHist {
 		if c > 0 {
 			m.leafSizeHist[i].Add(int64(c))
@@ -139,9 +137,10 @@ func (m *Metrics) ObserveDirtyRatio(r float64) {
 
 // ObserveDeltaResult records one delta solve's cache effectiveness under
 // its batch kind: memo-hit, revalidation-hit and dirty-leaf ratios, plus
-// eviction pressure.
+// eviction pressure and unconverged leaf solves.
 func (m *Metrics) ObserveDeltaResult(kind string, res *incr.DeltaResult) {
 	m.CacheEvictions.Add(int64(res.CacheEvictions))
+	m.Unconverged.Add(int64(res.Unconverged))
 	m.StaUpdates.Add(int64(res.StaUpdates))
 	m.StaNodesReprop.Add(int64(res.StaNodesReprop))
 	ki := len(deltaKinds) - 1 // default "mixed"
@@ -200,14 +199,14 @@ type MetricsSnapshot struct {
 	ADMMIters  int64 `json:"admm_iters"`
 	WarmStarts int64 `json:"warm_starts"`
 
-	// BatchBuckets / BatchedLeaves report the structure-of-arrays leaf
-	// dispatch: dimension buckets formed and leaf solves batched through
-	// them. F32Certified / F32Fallbacks account for every float32-lane
-	// result: certified commits vs transparent float64 re-solves.
+	// BatchBuckets / BatchedLeaves report the batched leaf dispatch:
+	// distinct leaf dimensions solved (summed per round) and leaf solves
+	// through the dispatcher.
 	BatchBuckets  int64 `json:"batch_buckets"`
 	BatchedLeaves int64 `json:"batched_leaves"`
-	F32Certified  int64 `json:"f32_certified"`
-	F32Fallbacks  int64 `json:"f32_fallbacks"`
+	// Unconverged counts fresh leaf solves, by jobs and session deltas,
+	// that returned Converged=false (stopped at the iteration cap).
+	Unconverged int64 `json:"unconverged"`
 	// LeafSizeHist buckets solved leaves by SDP matrix dimension (LE is the
 	// dimension upper bound; 0 means overflow). Omitted until a leaf solves.
 	LeafSizeHist []HistBucket `json:"leaf_size_hist,omitempty"`
@@ -292,8 +291,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	}
 	s.BatchBuckets = m.BatchBuckets.Load()
 	s.BatchedLeaves = m.BatchedLeaves.Load()
-	s.F32Certified = m.F32Certified.Load()
-	s.F32Fallbacks = m.F32Fallbacks.Load()
+	s.Unconverged = m.Unconverged.Load()
 	var leafTotal int64
 	for i := range m.leafSizeHist {
 		leafTotal += m.leafSizeHist[i].Load()

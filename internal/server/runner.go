@@ -92,13 +92,12 @@ func runJob(ctx context.Context, spec *JobSpec, onRound func(core.RoundStats), l
 		Rounds:        res.Rounds,
 		Partitions:    res.Partitions,
 		SolveErrors:   res.SolveErrors,
+		Unconverged:   res.Unconverged,
 	}
 	for _, rs := range res.RoundLog {
 		out.ADMMIters += rs.ADMMIters
 		out.WarmStarts += rs.WarmStarts
 		out.BatchedLeaves += rs.BatchedLeaves
-		out.F32Certified += rs.F32Certified
-		out.F32Fallbacks += rs.F32Fallbacks
 	}
 	if spec.Legalize {
 		lr := legalize.Repair(st.Design.Grid, st.Engine, st.Trees, released)

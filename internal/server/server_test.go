@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -442,6 +443,37 @@ func TestSubmitValidationAndLimits(t *testing.T) {
 	}
 	if code, _ := deleteJob(t, ts, "nope"); code != http.StatusNotFound {
 		t.Fatalf("DELETE missing job: status %d, want 404", code)
+	}
+}
+
+// TestRemovedBatchOptionRejected checks that the retired "batch" job option
+// (auto|off|float32 leaf dispatch) is refused with a 400 naming the field,
+// never silently ignored, and that no job is admitted for it.
+func TestRemovedBatchOptionRejected(t *testing.T) {
+	var runs atomic.Int64
+	counting := func(ctx context.Context, spec *JobSpec, onRound func(core.RoundStats)) (*JobResult, error) {
+		runs.Add(1)
+		return &JobResult{}, nil
+	}
+	srv, ts := newTestServer(t, Config{Runner: counting})
+	for _, mode := range []string{"float32", "off", "auto"} {
+		body := `{"benchmark":"adaptec1","options":{"batch":"` + mode + `"}}`
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST: %v", err)
+		}
+		var e struct{ Error string }
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("batch %q: status %d, want 400", mode, resp.StatusCode)
+		}
+		if !strings.Contains(e.Error, `unknown field "batch"`) {
+			t.Errorf("batch %q: error %q does not name the field", mode, e.Error)
+		}
+	}
+	if n := srv.Metrics().Snapshot().JobsAccepted; n != 0 || runs.Load() != 0 {
+		t.Fatalf("rejected specs admitted %d jobs, ran %d", n, runs.Load())
 	}
 }
 

@@ -269,6 +269,7 @@ func (s *Server) CreateSessionWithID(spec SessionSpec, id string) (*ECOSession, 
 			s.log.Warn("session base solve failed", "session", es.ID, "error", err)
 			return
 		}
+		s.metrics.Unconverged.Add(int64(sess.Base().Unconverged))
 		s.log.Info("session ready", "session", es.ID,
 			"elapsed", time.Since(start), "released", len(sess.Released()))
 	}()

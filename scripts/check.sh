@@ -64,11 +64,11 @@ go run ./cmd/benchsta -smoke
 # the unit suites could miss on real instance shapes.
 go run ./cmd/benchrace -smoke
 
-# Batched-dispatch smoke gate: the batched float64 lanes must stay bitwise
-# identical to per-leaf solves (any worker count), every float32-lane result
-# must carry a float64 certificate or be a counted float64 re-solve, and a
-# short timing run must not show the batched dispatcher regressing behind
-# the per-leaf baseline it replaces.
+# Batched-dispatch smoke gate: the largest-first leaf dispatcher must stay
+# bitwise identical to per-leaf solves (any worker count and input order,
+# and through a full optimization), and a short timing run on a real
+# round's leaf set at GOMAXPROCS=2 must not show it falling behind the
+# parallel per-leaf baseline.
 go run ./cmd/benchbatch -smoke
 
 # Cluster smoke gate: a durable session must recover from disk (snapshot +
