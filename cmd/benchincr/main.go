@@ -8,8 +8,8 @@
 // cold replay of the same mutated instance. Every delta is gated on the
 // equivalence mode the session reports: "bitwise" rows must match the cold
 // replay byte for byte (the Divergence differential harness), "epsilon"
-// rows — cached leaf solutions reused under bounded capacity/pitch drift,
-// or warm-started solves — must pass the independent full-state verifier
+// rows — cached leaf solutions reused under bounded capacity/pitch drift —
+// must pass the independent full-state verifier
 // clean with design-wide final metrics within -tol of the cold replay. Any
 // gate failure is a hard error, so the benchmark doubles as an end-to-end
 // equivalence audit.
@@ -68,7 +68,6 @@ type record struct {
 	Released    int           `json:"released"`
 	GoMaxProcs  int           `json:"gomaxprocs"`
 	Revalidate  bool          `json:"revalidate"`
-	WarmStart   bool          `json:"warm_start"`
 	MetricsTol  float64       `json:"metrics_tol"`
 	BaseMS      float64       `json:"base_ms"`
 	Deltas      []deltaReport `json:"deltas"`
@@ -80,22 +79,21 @@ func main() {
 	rounds := flag.Int("rounds", 2, "max optimization rounds")
 	out := flag.String("out", "BENCH_incr.json", "output record path")
 	reval := flag.Bool("reval", true, "enable the epsilon revalidation reuse tier")
-	warm := flag.Bool("warm", false, "warm-start dirty leaf solves from the session cache")
 	tol := flag.Float64("tol", 0.03, "relative tolerance for epsilon-mode rows: design-wide AvgTcp/MaxTcp vs the cold replay (covers initial-assignment heuristic variation, not just reuse error)")
 	smoke := flag.Bool("smoke", false, "fast CI gate: small-suite instance, one capacity delta, assert cache reuse > 0 (no cold replays, no output file)")
 	flag.Parse()
 	if *smoke {
 		os.Exit(runSmoke(*benchName, *rounds))
 	}
-	os.Exit(run(*benchName, *ratio, *rounds, *out, *reval, *warm, *tol))
+	os.Exit(run(*benchName, *ratio, *rounds, *out, *reval, *tol))
 }
 
-func run(benchName string, ratio float64, rounds int, out string, reval, warm bool, tol float64) int {
+func run(benchName string, ratio float64, rounds int, out string, reval bool, tol float64) int {
 	ctx := context.Background()
 	gen := func() (*cpla.Design, error) { return cpla.Benchmark(benchName) }
 	cfg := incr.Config{
 		Prepare:    cpla.DefaultPrepareOptions(),
-		Core:       cpla.CPLAOptions{MaxRounds: rounds, WarmStart: warm},
+		Core:       cpla.CPLAOptions{MaxRounds: rounds},
 		Ratio:      ratio,
 		Revalidate: reval,
 	}
@@ -157,13 +155,12 @@ func run(benchName string, ratio float64, rounds int, out string, reval, warm bo
 	}
 
 	rec := record{
-		Description: "Incremental ECO re-solve vs cold full re-solve on the same mutated instance. incr_ms is the session's delta solve (persistent leaf-solve cache warm); cold_ms re-routes, re-prepares and re-optimizes the cumulative instance from scratch. Each step is gated on its reported equivalence_mode: bitwise rows match the cold replay byte for byte (metrics bitwise, per-segment layers, overflow); epsilon rows (revalidation-tier reuse or warm starts) pass the independent full-state verifier clean with design-wide metrics (AvgTcp/MaxTcp over all nets) within metrics_tol of the cold replay — released-set averages are incomparable because each flow releases the top nets of its own timing state. equivalent=true means the row's gate passed. Regenerate with `make bench-incr`.",
+		Description: "Incremental ECO re-solve vs cold full re-solve on the same mutated instance. incr_ms is the session's delta solve (persistent leaf-solve cache warm); cold_ms re-routes, re-prepares and re-optimizes the cumulative instance from scratch. Each step is gated on its reported equivalence_mode: bitwise rows match the cold replay byte for byte (metrics bitwise, per-segment layers, overflow); epsilon rows (revalidation-tier reuse) pass the independent full-state verifier clean with design-wide metrics (AvgTcp/MaxTcp over all nets) within metrics_tol of the cold replay — released-set averages are incomparable because each flow releases the top nets of its own timing state. equivalent=true means the row's gate passed. Regenerate with `make bench-incr`.",
 		Benchmark:   benchName,
 		Nets:        len(d.Nets),
 		Released:    len(released),
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		Revalidate:  reval,
-		WarmStart:   warm,
 		MetricsTol:  tol,
 		BaseMS:      baseMS,
 	}

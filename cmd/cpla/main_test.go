@@ -41,12 +41,26 @@ func runCLI(t *testing.T, args ...string) (int, string) {
 // instead of being silently ignored.
 func TestRemovedBatchFlagRejected(t *testing.T) {
 	for _, mode := range []string{"off", "float32", "auto"} {
-		code, stderr := runCLI(t, "-bench", "adaptec1", "-batch", mode)
-		if code == 0 {
-			t.Errorf("-batch %s: exit 0, want non-zero", mode)
-		}
-		if !strings.Contains(stderr, "-batch") {
-			t.Errorf("-batch %s: stderr %q does not name the flag", mode, stderr)
-		}
+		assertFlagRejected(t, "-batch", "-bench", "adaptec1", "-batch", mode)
+	}
+}
+
+// TestRemovedWarmFlagRejected checks the same for the retired -eco -warm
+// flag (X-seeded ADMM leaf solves in ECO sessions).
+func TestRemovedWarmFlagRejected(t *testing.T) {
+	assertFlagRejected(t, "-warm", "-bench", "adaptec1", "-eco", "script.jsonl", "-warm")
+	assertFlagRejected(t, "-warm", "-bench", "adaptec1", "-warm=true")
+}
+
+// assertFlagRejected runs the CLI with args and requires a non-zero exit
+// whose standard error names flag.
+func assertFlagRejected(t *testing.T, flag string, args ...string) {
+	t.Helper()
+	code, stderr := runCLI(t, args...)
+	if code == 0 {
+		t.Errorf("%v: exit 0, want non-zero", args)
+	}
+	if !strings.Contains(stderr, flag) {
+		t.Errorf("%v: stderr %q does not name %s", args, stderr, flag)
 	}
 }

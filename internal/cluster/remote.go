@@ -21,11 +21,10 @@ import (
 // a pure function of (problem, options), ANY partition of the pending set
 // across solvers — local or remote, one worker or ten — yields
 // byte-identical per-leaf results; Go's encoding/json round-trips float64
-// exactly, so the wire adds no drift. Warm states never travel: an
-// iterate-free warm state only donates a Gram Cholesky factor that is
+// exactly, so the wire adds no drift. Warm states never travel: the
+// optimizer's states only donate a Gram Cholesky factor that is
 // value-identical to recomputing it, so remote leaves solve cold with
-// identical results, while leaves carrying a warm iterate (WarmStart mode)
-// stay local.
+// identical results.
 
 // SolveRequest is the /v1/solve request body: one bucket of
 // equal-dimension problems and the solver options to run them under.
@@ -62,7 +61,7 @@ type RemoteStats struct {
 	Batches       uint64 `json:"batches"`        // SolveBatch calls
 	RemoteBuckets uint64 `json:"remote_buckets"` // buckets dispatched over HTTP
 	RemoteLeaves  uint64 `json:"remote_leaves"`
-	LocalLeaves   uint64 `json:"local_leaves"` // warm-pinned, or no workers
+	LocalLeaves   uint64 `json:"local_leaves"` // solved locally after a remote failure
 	Hedges        uint64 `json:"hedges"`       // secondary requests launched
 	HedgeWins     uint64 `json:"hedge_wins"`   // buckets won by the secondary
 	Fallbacks     uint64 `json:"fallbacks"`    // buckets re-solved locally after remote failure
@@ -130,12 +129,10 @@ func (rs *RemoteSolver) Stats() RemoteStats {
 	}
 }
 
-// SolveBatch implements core.LeafSolver. Leaves that must stay local (a
-// warm iterate is pinned to this process) solve through sdp.SolveBatchCtx
-// exactly as the nil-solver path would; the rest are bucketed by dimension
-// and dispatched remotely, falling back to the local solver per bucket on
-// any failure.
-func (rs *RemoteSolver) SolveBatch(ctx context.Context, probs []*sdp.Problem, opt sdp.Options, warms []*sdp.State, bopt sdp.BatchOptions) *sdp.BatchResult {
+// SolveBatch implements core.LeafSolver. The leaves are bucketed by
+// dimension and dispatched remotely, falling back to the local solver per
+// bucket on any failure. warms are ignored (see the protocol note above).
+func (rs *RemoteSolver) SolveBatch(ctx context.Context, probs []*sdp.Problem, opt sdp.Options, _ []*sdp.State, bopt sdp.BatchOptions) *sdp.BatchResult {
 	rs.batches.Add(1)
 	n := len(probs)
 	out := &sdp.BatchResult{
@@ -147,13 +144,8 @@ func (rs *RemoteSolver) SolveBatch(ctx context.Context, probs []*sdp.Problem, op
 		return out
 	}
 
-	var local []int
 	buckets := make(map[int][]int) // dimension → problem indices
 	for i, p := range probs {
-		if warms != nil && warms[i] != nil && warms[i].X != nil {
-			local = append(local, i)
-			continue
-		}
 		buckets[p.N] = append(buckets[p.N], i)
 	}
 
@@ -165,28 +157,8 @@ func (rs *RemoteSolver) SolveBatch(ctx context.Context, probs []*sdp.Problem, op
 			rs.solveBucket(ctx, probs, opt, bopt, idxs, out)
 		}(idxs)
 	}
-	if len(local) > 0 {
-		rs.localLeaves.Add(uint64(len(local)))
-		lp := make([]*sdp.Problem, len(local))
-		lw := make([]*sdp.State, len(local))
-		for j, i := range local {
-			lp[j] = probs[i]
-			if warms != nil {
-				lw[j] = warms[i]
-			}
-		}
-		lbr := sdp.SolveBatchCtx(ctx, lp, opt, lw, bopt)
-		for j, i := range local {
-			out.Results[i] = lbr.Results[j]
-			out.States[i] = lbr.States[j]
-			out.Errs[i] = lbr.Errs[j]
-		}
-	}
 	wg.Wait()
 	out.Stats.Buckets = len(buckets)
-	if len(local) > 0 {
-		out.Stats.Buckets++ // count the local subset like a bucket
-	}
 	out.Stats.BatchedLeaves = n
 	return out
 }

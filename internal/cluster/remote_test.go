@@ -6,7 +6,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -119,30 +118,26 @@ func TestRemoteSolverByteIdentity(t *testing.T) {
 	}
 }
 
-func TestRemoteSolverWarmPinnedStaysLocal(t *testing.T) {
-	// Leaves carrying a warm iterate (WarmStart mode) are pinned local; the
-	// worker must never be consulted, and results must match the plain
-	// local warm-started solve.
-	var hits atomic.Int64
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		http.Error(w, "worker must not be called", http.StatusInternalServerError)
-	}))
-	t.Cleanup(dead.Close)
-	rs, err := NewRemoteSolver([]string{dead.URL}, RemoteOptions{Timeout: 5 * time.Second})
+// TestRemoteSolverFactorStatesGoRemote checks what the optimizer hands a
+// LeafSolver from round 2 on: factor-only warm states. They never pin a
+// leaf locally, and the remote cold solves match the local factor-reusing
+// solve byte for byte.
+func TestRemoteSolverFactorStatesGoRemote(t *testing.T) {
+	worker := solveWorker(t)
+	rs, err := NewRemoteSolver([]string{worker.URL}, RemoteOptions{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	probs := remoteProblemSet()
 	warms := sdp.SolveBatchCtx(context.Background(), probs, remoteOpt, nil, sdp.BatchOptions{}).States
+	for i := range warms {
+		warms[i] = warms[i].FactorOnly()
+	}
 	want := sdp.SolveBatchCtx(context.Background(), probs, remoteOpt, warms, sdp.BatchOptions{})
 	got := rs.SolveBatch(context.Background(), probs, remoteOpt, warms, sdp.BatchOptions{})
 	assertSameResults(t, got, want)
-	if hits.Load() != 0 {
-		t.Fatalf("warm-pinned batch reached the worker %d times", hits.Load())
-	}
-	if st := rs.Stats(); st.LocalLeaves != uint64(len(probs)) || st.RemoteBuckets != 0 {
-		t.Fatalf("stats: %+v", st)
+	if st := rs.Stats(); st.LocalLeaves != 0 || st.RemoteLeaves != uint64(len(probs)) {
+		t.Fatalf("stats: %+v, want every leaf remote", st)
 	}
 }
 

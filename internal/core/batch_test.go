@@ -49,7 +49,7 @@ func solveSDP(ctx context.Context, p *problem, opt Options, cache *SolveCache, k
 	if pr.xFrac != nil {
 		return pr.xFrac, pr.ls, nil
 	}
-	br := serialLeafSolver{}.SolveBatch(ctx, []*sdp.Problem{sl.prob}, sdp.Options{MaxIters: opt.SDPIters, Tol: opt.SDPTol}, []*sdp.State{pr.warm}, sdp.BatchOptions{})
+	br := serialLeafSolver{}.SolveBatch(ctx, []*sdp.Problem{sl.prob}, leafSDPOptions(opt), []*sdp.State{pr.warm}, sdp.BatchOptions{})
 	if err := br.Errs[0]; err != nil {
 		return nil, leafStats{dim: sl.dim()}, err
 	}
@@ -90,9 +90,9 @@ func TestBatchedRoundMatchesPerLeaf(t *testing.T) {
 	sawBatch := false
 	for i := range batched.RoundLog {
 		b, s := batched.RoundLog[i], serial.RoundLog[i]
-		if b.ADMMIters != s.ADMMIters || b.Partitions != s.Partitions || b.WarmStarts != s.WarmStarts || b.Unconverged != s.Unconverged {
-			t.Errorf("round %d: batched iters/parts/warm/unconverged %d/%d/%d/%d, serial %d/%d/%d/%d",
-				i+1, b.ADMMIters, b.Partitions, b.WarmStarts, b.Unconverged, s.ADMMIters, s.Partitions, s.WarmStarts, s.Unconverged)
+		if b.ADMMIters != s.ADMMIters || b.Partitions != s.Partitions || b.MemoHits != s.MemoHits || b.Unconverged != s.Unconverged {
+			t.Errorf("round %d: batched iters/parts/memo/unconverged %d/%d/%d/%d, serial %d/%d/%d/%d",
+				i+1, b.ADMMIters, b.Partitions, b.MemoHits, b.Unconverged, s.ADMMIters, s.Partitions, s.MemoHits, s.Unconverged)
 		}
 		if b.LeafSizeHist != s.LeafSizeHist {
 			t.Errorf("round %d: leaf-size histograms diverge: %v vs %v", i+1, b.LeafSizeHist, s.LeafSizeHist)
@@ -144,6 +144,25 @@ func TestUnconvergedCounted(t *testing.T) {
 	}
 	if sum != res.Unconverged {
 		t.Fatalf("RoundLog sums to %d unconverged, Result says %d", sum, res.Unconverged)
+	}
+}
+
+// TestDefaultSolvesConverge pins the ADMM penalty rule end to end: under
+// the default leaf options (150-iteration cap, tol 2e-3, μ₀ = 8) every fresh
+// leaf solve of a default run stops because it converged. With the penalty
+// update the wrong way round most solves here ran into the cap.
+func TestDefaultSolvesConverge(t *testing.T) {
+	st := prepare(t, 12, 200)
+	released := timing.SelectCritical(st.Timings(), 0.05)
+	res, err := Optimize(st, released, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Unconverged != 0 {
+		t.Fatalf("default run left %d leaf solves unconverged", res.Unconverged)
+	}
+	if res.RoundLog[0].ADMMIters == 0 {
+		t.Fatal("round 1 ran no ADMM iterations; nothing was checked")
 	}
 }
 

@@ -130,14 +130,6 @@ type Options struct {
 	// Workers is the partition-solve parallelism (≤ 0 → GOMAXPROCS),
 	// mirroring the paper's OpenMP threads.
 	Workers int
-	// WarmStart seeds each recurring partition leaf's ADMM with the
-	// previous round's primal iterate X. Off, rounds 2+ still reuse the
-	// leaf's cached Gram Cholesky factor and skip byte-identical problems
-	// outright — both bitwise-neutral. On, warm-started solves converge in
-	// fewer iterations but may round to slightly different (equally valid)
-	// layer choices, so results can differ from a cold run within the
-	// solver tolerance.
-	WarmStart bool
 	// Revalidate enables the epsilon-equivalence reuse tier: a recurring
 	// leaf whose rebuilt problem matches the same round's solved problem in
 	// topology exactly, and drifted only within the delay and penalty
@@ -177,7 +169,7 @@ type Options struct {
 	// historical cross-round-only acceleration. Reuse is bitwise-neutral:
 	// only byte-identical problems skip the solver, and recurring leaves
 	// otherwise donate a Cholesky factor that is value-identical to
-	// recomputing it (or the full iterate with WarmStart).
+	// recomputing it.
 	Cache *SolveCache
 	// OnRound, when non-nil, receives each round's RoundStats right after
 	// the accept/revert decision — live progress for callers monitoring a
@@ -254,20 +246,17 @@ type RoundStats struct {
 	// SolveErrors counts failed partition solves in this round.
 	SolveErrors int
 	// ADMMIters is the total ADMM iteration count over this round's leaf
-	// solves (0 for the ILP and IPM backends). Warm-started rounds should
-	// report markedly fewer iterations than round 1.
+	// solves (0 for the ILP and IPM backends).
 	ADMMIters int
-	// WarmStarts counts leaves seeded from a previous round's ADMM state.
-	WarmStarts int
 	// MemoHits counts leaves whose exact problem was served from the solve
-	// cache without running the solver (each also counts as a WarmStart).
-	// With a persistent Options.Cache, Partitions − MemoHits is the number
-	// of genuinely dirty leaves this round.
+	// cache without running the solver. With a persistent Options.Cache,
+	// Partitions − MemoHits is the number of genuinely dirty leaves this
+	// round.
 	MemoHits int
 	// RevalHits counts leaves served by the revalidation tier (cached
-	// fractional solution reused under a penalty/capacity-only drift; each
-	// also counts as a WarmStart). Nonzero only with Options.Revalidate,
-	// and epsilon-equivalent rather than bitwise.
+	// fractional solution reused under a penalty/capacity-only drift).
+	// Nonzero only with Options.Revalidate, and epsilon-equivalent rather
+	// than bitwise.
 	RevalHits int
 	// CacheEvictions counts solve-cache LRU evictions during this round's
 	// commit — pressure telemetry for sizing Options.Cache.
@@ -381,7 +370,7 @@ func OptimizeCtx(ctx context.Context, st *pipeline.State, released []int, opt Op
 	// Solve cache: partition leaves keyed by their (tree, seg) item set.
 	// When the same leaf recurs — in a later round, or in a later call when
 	// the caller supplies a persistent cache — its previous record
-	// accelerates the solve (see Options.WarmStart for the tiers). Written
+	// accelerates the solve (see SolveCache for the tiers). Written
 	// serially between rounds, read-only while workers run.
 	cache := opt.Cache
 	if cache == nil {
@@ -453,9 +442,6 @@ func OptimizeCtx(ctx context.Context, st *pipeline.State, released []int, opt Op
 				st.Trees[it.Tree].Segs[it.Seg].Layer = pr.layers[k]
 			}
 			stats.ADMMIters += pr.stats.iters
-			if pr.stats.warm {
-				stats.WarmStarts++
-			}
 			if pr.stats.memo {
 				stats.MemoHits++
 			}
@@ -557,8 +543,9 @@ func buildRoundInput(st *pipeline.State, work []int, opt Options) (*buildInput, 
 }
 
 // leafKey fingerprints a leaf's (tree, seg) item set with FNV-1a — the
-// identity under which ADMM states warm-start later rounds. Leaf items are
-// in deterministic partition order, so recurring leaves hash identically.
+// identity under which later rounds find the leaf's cache records. Leaf
+// items are in deterministic partition order, so recurring leaves hash
+// identically.
 func leafKey(leaf *partition.Leaf) uint64 {
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
@@ -576,7 +563,7 @@ func leafKey(leaf *partition.Leaf) uint64 {
 // leafCache is one partition leaf's cross-round record: the full content
 // signature of the problem it solved, the fractional solution (reused
 // verbatim when the identical problem recurs — the solver is
-// deterministic), the ADMM state for warm starts and factor reuse, and —
+// deterministic), the ADMM state whose Gram factor later solves reuse, and —
 // under Options.Revalidate — the split sensitivity signature and
 // congestion-penalty vector the revalidation tier compares against.
 type leafCache struct {
@@ -593,7 +580,6 @@ type leafCache struct {
 // accelerates the same leaf next round.
 type leafStats struct {
 	iters  int
-	warm   bool
 	memo   bool // exact solution served from the cache, solver skipped
 	reval  bool // cached solution reused by the revalidation tier (epsilon)
 	unconv bool // fresh SDP solve that returned Converged=false

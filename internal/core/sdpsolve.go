@@ -157,14 +157,13 @@ type sdpProbe struct {
 // opt.Revalidate, a same-shape problem whose delay and penalty coefficients
 // drifted within their budgets under still-feasible capacity bounds reuses
 // the cached fractional solution too (epsilon equivalence). Otherwise the
-// leaf's latest ADMM state either seeds the iterates (opt.WarmStart) or only
-// donates its Gram Cholesky factor, which is value-identical to recomputing
-// it.
+// leaf's latest ADMM state donates its Gram Cholesky factor, which is
+// value-identical to recomputing it.
 func probeSDPCache(sl *sdpLeaf, opt Options, cache *SolveCache, key uint64) sdpProbe {
 	p := sl.p
 	sig := sdp.ProblemSignature(sl.prob)
 	if xf := cache.lookup(key, sig); xf != nil {
-		return sdpProbe{xFrac: xf, ls: leafStats{warm: true, memo: true, dim: sl.dim()}}
+		return sdpProbe{xFrac: xf, ls: leafStats{memo: true, dim: sl.dim()}}
 	}
 	rec := cache.record(key)
 	var comps sigComponents
@@ -182,16 +181,13 @@ func probeSDPCache(sl *sdpLeaf, opt Options, cache *SolveCache, key uint64) sdpP
 			capFeasible(p, rrec.xFrac) {
 			if opt.OnRevalidate == nil || opt.OnRevalidate(revalCheck(p, key, rrec.xFrac)) {
 				cache.noteReval()
-				return sdpProbe{xFrac: rrec.xFrac, ls: leafStats{warm: true, reval: true, dim: sl.dim()}}
+				return sdpProbe{xFrac: rrec.xFrac, ls: leafStats{reval: true, dim: sl.dim()}}
 			}
 		}
 	}
 	var warm *sdp.State
 	if rec != nil {
 		warm = rec.state
-	}
-	if !opt.WarmStart {
-		warm = warm.FactorOnly()
 	}
 	return sdpProbe{
 		warm:  warm,
@@ -207,9 +203,9 @@ func finishSDPLeaf(sl *sdpLeaf, res *sdp.Result, state *sdp.State, pending *leaf
 		opt.OnSDP(sl.prob, res)
 	}
 	out := sl.readout(res)
-	pending.state = state
+	pending.state = state.FactorOnly()
 	pending.xFrac = out
-	ls := leafStats{iters: res.Iters, warm: res.Warm, unconv: !res.Converged, cache: pending, proj: res.Stats, dim: sl.dim()}
+	ls := leafStats{iters: res.Iters, unconv: !res.Converged, cache: pending, proj: res.Stats, dim: sl.dim()}
 	return out, ls
 }
 

@@ -58,8 +58,8 @@ func BenchmarkSolveWorkspaceReuse(b *testing.B) {
 }
 
 // BenchmarkSolveWarmStarted additionally seeds each solve from the previous
-// converged state and reuses its Gram Cholesky factor — the cross-round
-// fast path. Iteration counts collapse to the convergence check.
+// converged state and reuses its Gram Cholesky factor. Iteration counts
+// collapse to the convergence check.
 func BenchmarkSolveWarmStarted(b *testing.B) {
 	p := benchProblem(48, 1)
 	w := NewWorkspace()

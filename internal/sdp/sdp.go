@@ -126,6 +126,9 @@ type Result struct {
 	DualRes   float64 // relative ||Aᵀy + S - C||_F
 	Iters     int
 	Converged bool
+	// Mu is the ADMM penalty the solve ended with, after adaptation (0 for
+	// the IPM).
+	Mu float64
 	// Warm reports whether the solve was seeded from a previous State.
 	Warm bool
 	// Stats holds the PSD-projection path telemetry for this solve.

@@ -44,12 +44,12 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // one: the primal iterate X and the constraint-structure signature under
 // which the cached Gram Cholesky factor remains valid. Only X is kept — the
 // multipliers y are recomputed from (X, S, μ) at every iteration, so seeding
-// them is a no-op, and seeding the dual slack S or the adapted penalty μ
-// from a solve of a *different* cost matrix measurably slows convergence
-// (S encodes the old C; μ's adapted value chases the old residual balance).
-// States are immutable snapshots — X is a clone, and the factor is never
-// refactored in place — so they may be cached across rounds and shared
-// between goroutines.
+// them is a no-op; the dual slack S encodes the old cost matrix C; and the
+// adapted penalty μ fits the old problem's residual balance, while a fixed
+// μ₀ on the normalized cost scale (Options.Mu) already reaches the working
+// range within a few adaptation checks. States are immutable snapshots — X
+// is a clone, and the factor is never refactored in place — so they may be
+// cached across rounds and shared between goroutines.
 type State struct {
 	X *linalg.Matrix
 	// Sig fingerprints the constraint matrices (not their RHS); the cached
@@ -236,18 +236,21 @@ func (w *Workspace) SolveCtx(ctx context.Context, p *Problem, opt Options, warm 
 			return &Result{
 				X: x.Clone(), Objective: p.C.Dot(x),
 				PrimalRes: priRes, DualRes: duaRes,
-				Iters: iter, Converged: true, Warm: warmStarted,
+				Iters: iter, Converged: true, Mu: mu, Warm: warmStarted,
 				Stats: w.eig.Stats,
 			}, nil
 		}
 
-		// Penalty adaptation: in the dual ADMM larger μ pushes primal
-		// feasibility harder, smaller μ pushes dual feasibility.
+		// Penalty adaptation. This μ is the reciprocal of Wen–Goldfarb–
+		// Yin's: X ← μ(S − V) makes the dual residual ‖C − Aᵀy − S‖ equal
+		// ‖X_old − X_new‖/μ, so a larger μ pushes dual feasibility harder
+		// and a smaller μ weights the (b − A(X))/μ term, primal
+		// feasibility.
 		if iter%20 == 0 {
 			switch {
-			case priRes > 10*duaRes:
-				mu = math.Min(mu*1.6, 1e6)
 			case duaRes > 10*priRes:
+				mu = math.Min(mu*1.6, 1e6)
+			case priRes > 10*duaRes:
 				mu = math.Max(mu/1.6, 1e-6)
 			}
 		}
@@ -255,7 +258,7 @@ func (w *Workspace) SolveCtx(ctx context.Context, p *Problem, opt Options, warm 
 	return &Result{
 		X: x.Clone(), Objective: p.C.Dot(x),
 		PrimalRes: priRes, DualRes: duaRes,
-		Iters: opt.MaxIters, Converged: false, Warm: warmStarted,
+		Iters: opt.MaxIters, Converged: false, Mu: mu, Warm: warmStarted,
 		Stats: w.eig.Stats,
 	}, nil
 }

@@ -1,6 +1,8 @@
 package sdp
 
 import (
+	"encoding/json"
+	"os"
 	"testing"
 )
 
@@ -83,8 +85,8 @@ func TestFactorReuseBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWarmStartConverges checks the opt-in tier: seeding from a converged
-// state of the same problem re-converges (to the same objective within
+// TestWarmStartConverges checks X seeding through a State that carries an
+// iterate: seeding from a converged state of the same problem re-converges (to the same objective within
 // tolerance) and reports Warm.
 func TestWarmStartConverges(t *testing.T) {
 	opt := Options{MaxIters: 5000, Tol: 2e-3}
@@ -140,6 +142,38 @@ func TestProblemSignature(t *testing.T) {
 		f(q)
 		if ProblemSignature(q) == sig {
 			t.Errorf("perturbation %d did not change the signature", i)
+		}
+	}
+}
+
+// TestPenaltyRisesOnDualPlateau pins the direction of the penalty update on
+// a real plateau-class CPLA partition leaf (testdata/plateau_leaf.json, a
+// round-1 leaf of a 200-net 18x18 design). With the update the wrong way
+// round this leaf ran into the cap with the primal residual near 2e-7 and
+// the dual residual stuck near 3e-3: every check saw dual > 10·primal and
+// shrank μ, which only made the dual step smaller. Here μ must rise from
+// the default μ₀ = 1 and the solve must converge within the optimizer's
+// 150-iteration cap, from μ₀ = 1 and from the optimizer's μ₀ = 8 alike.
+func TestPenaltyRisesOnDualPlateau(t *testing.T) {
+	raw, err := os.ReadFile("testdata/plateau_leaf.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p Problem
+	if err := json.Unmarshal(raw, &p); err != nil {
+		t.Fatal(err)
+	}
+	for _, mu0 := range []float64{1, 8} {
+		res, err := Solve(&p, Options{MaxIters: 150, Tol: 2e-3, Mu: mu0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged {
+			t.Errorf("μ₀=%g: capped at %d iterations (primal %.2e, dual %.2e, μ %.3g)",
+				mu0, res.Iters, res.PrimalRes, res.DualRes, res.Mu)
+		}
+		if mu0 == 1 && res.Mu <= mu0 {
+			t.Errorf("μ₀=1: penalty ended at %.3g; a dual plateau must raise it", res.Mu)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httputil"
 	"net/url"
+	"runtime"
 	"time"
 
 	"repro/internal/cluster"
@@ -24,8 +25,11 @@ const forwardedHeader = "X-Cplad-Forwarded"
 // replay in the background through incr.ReplayBatches, so recovered
 // sessions pass through the usual preparing → ready lifecycle. By the
 // cold-replay equivalence contract the recovered state is bitwise-
-// identical to the crashed session's. Call once, after New and before
-// serving traffic; returns the number of sessions whose replay started.
+// identical to the crashed session's. At most GOMAXPROCS replays run at
+// once: each is CPU-bound, so more would only hold more half-built
+// sessions in the heap without finishing any sooner. Call once, after New
+// and before serving traffic; returns the number of sessions whose replay
+// was scheduled.
 func (s *Server) Recover() (int, error) {
 	if s.cfg.Store == nil {
 		return 0, nil
@@ -35,6 +39,7 @@ func (s *Server) Recover() (int, error) {
 		return 0, err
 	}
 	n := 0
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for _, st := range states {
 		var spec SessionSpec
 		if err := json.Unmarshal(st.Spec, &spec); err != nil {
@@ -69,13 +74,8 @@ func (s *Server) Recover() (int, error) {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			// Budget one job's worth of time per replayed solve: the base
-			// prepare plus each batch is at most one JobTimeout of work.
-			timeout := s.cfg.JobTimeout * time.Duration(1+len(batches))
-			ctx, cancel := context.WithTimeout(s.workCtx, timeout)
-			defer cancel()
 			start := time.Now()
-			sess, err := incr.ReplayBatches(ctx, spec.designFunc(), s.sessionConfig(&spec), batches)
+			sess, err := s.replayBounded(slots, &spec, batches)
 			es.mu.Lock()
 			if err != nil {
 				es.status = SessionFailed
@@ -95,6 +95,23 @@ func (s *Server) Recover() (int, error) {
 		}()
 	}
 	return n, nil
+}
+
+// replayBounded replays one recovered session once it holds a slot, or
+// gives up when the server shuts down first.
+func (s *Server) replayBounded(slots chan struct{}, spec *SessionSpec, batches [][]incr.Delta) (*incr.Session, error) {
+	select {
+	case slots <- struct{}{}:
+		defer func() { <-slots }()
+	case <-s.workCtx.Done():
+		return nil, s.workCtx.Err()
+	}
+	// Budget one job's worth of time per replayed solve: the base prepare
+	// plus each batch is at most one JobTimeout of work.
+	timeout := s.cfg.JobTimeout * time.Duration(1+len(batches))
+	ctx, cancel := context.WithTimeout(s.workCtx, timeout)
+	defer cancel()
+	return incr.ReplayBatches(ctx, spec.designFunc(), s.sessionConfig(spec), batches)
 }
 
 // ownsSession reports whether this process should serve the request for

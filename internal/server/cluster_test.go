@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -392,6 +393,57 @@ func TestSessionRecoveryBitwiseIdentical(t *testing.T) {
 	}
 	snap := getMetrics(t, ts2)
 	if snap.Cluster == nil || snap.Cluster.SessionsRecovered != 1 || snap.Cluster.ReplayedBatches != int64(len(batches)) {
+		t.Fatalf("recovery metrics: %+v", snap.Cluster)
+	}
+}
+
+// TestRecoveryMoreSessionsThanReplaySlots checks the recovery bound: with
+// GOMAXPROCS=1 only one replay runs at a time, and every one of several
+// recovered sessions still reaches ready with the exact history and final
+// metrics of the session that wrote its WAL.
+func TestRecoveryMoreSessionsThanReplaySlots(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	dir := t.TempDir()
+	batches := chaosDeltaBatches()
+
+	store1, err := cluster.Open(dir, cluster.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1, ts1 := newTestServer(t, Config{Workers: 1, Store: store1})
+	const sessions = 3
+	ids := make([]string, sessions)
+	want := make([]*incr.Session, sessions)
+	for i := range ids {
+		_, created := postSession(t, ts1, tinySessionSpec(int64(31+i)))
+		waitSessionStatus(t, ts1, created.ID, SessionReady)
+		applyBatchesHTTP(t, ts1, created.ID, batches)
+		ids[i], want[i] = created.ID, liveSession(t, srv1, created.ID)
+	}
+	store1.Close()
+
+	store2, err := cluster.Open(dir, cluster.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2, ts2 := newTestServer(t, Config{Workers: 1, Store: store2})
+	n, err := srv2.Recover()
+	if err != nil || n != sessions {
+		t.Fatalf("Recover: %d sessions, err %v; want %d", n, err, sessions)
+	}
+	for i, id := range ids {
+		waitSessionStatus(t, ts2, id, SessionReady)
+		got := liveSession(t, srv2, id)
+		if !reflect.DeepEqual(got.History(), want[i].History()) {
+			t.Errorf("session %s replayed a different history", id)
+		}
+		if got.Last() == nil || got.Last().After != want[i].Last().After {
+			t.Errorf("session %s: recovered After metrics differ from the original's", id)
+		}
+	}
+	snap := getMetrics(t, ts2)
+	if snap.Cluster == nil || snap.Cluster.SessionsRecovered != sessions ||
+		snap.Cluster.ReplayedBatches != int64(sessions*len(batches)) {
 		t.Fatalf("recovery metrics: %+v", snap.Cluster)
 	}
 }

@@ -94,7 +94,6 @@ type SolveOptions struct {
 	Solver       string  `json:"solver,omitempty"`  // admm|ipm
 	Mapping      string  `json:"mapping,omitempty"` // alg1|greedy|flow
 	Workers      int     `json:"workers,omitempty"`
-	WarmStart    bool    `json:"warm_start,omitempty"`
 }
 
 // Validate checks the spec's internal consistency; it does not touch the
@@ -166,7 +165,6 @@ func (s *JobSpec) coreOptions(onRound func(core.RoundStats)) core.Options {
 		opt.SDPIters = o.SDPIters
 		opt.SDPTol = o.SDPTol
 		opt.Workers = o.Workers
-		opt.WarmStart = o.WarmStart
 		if o.Solver == "ipm" {
 			opt.SDPSolver = core.SolverIPM
 		}
@@ -208,7 +206,6 @@ type JobResult struct {
 	Partitions    int    `json:"partitions"`
 	SolveErrors   int    `json:"solve_errors"`
 	ADMMIters     int    `json:"admm_iters"`
-	WarmStarts    int    `json:"warm_starts"`
 	// Unconverged counts fresh leaf solves that returned Converged=false
 	// (the ADMM stopped at its iteration cap).
 	Unconverged int `json:"unconverged"`

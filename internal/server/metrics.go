@@ -23,8 +23,7 @@ type Metrics struct {
 	Cancelled atomic.Int64 // jobs cancelled while queued or running
 	Queued    atomic.Int64 // queue depth (gauge)
 
-	ADMMIters  atomic.Int64 // total ADMM iterations over all rounds
-	WarmStarts atomic.Int64 // total warm-started leaf solves
+	ADMMIters atomic.Int64 // total ADMM iterations over all rounds
 
 	BatchBuckets  atomic.Int64 // distinct leaf dimensions solved by batched rounds
 	BatchedLeaves atomic.Int64 // leaf solves through the batched dispatcher
@@ -114,11 +113,10 @@ type kindCounters struct {
 }
 
 // ObserveRound folds one job round's telemetry into the counters:
-// iteration and warm-start totals, batched-dispatch and unconverged-solve
+// iteration totals, batched-dispatch and unconverged-solve
 // accounting, and the leaf-size histogram.
 func (m *Metrics) ObserveRound(rs core.RoundStats) {
 	m.ADMMIters.Add(int64(rs.ADMMIters))
-	m.WarmStarts.Add(int64(rs.WarmStarts))
 	m.BatchBuckets.Add(int64(rs.BatchBuckets))
 	m.BatchedLeaves.Add(int64(rs.BatchedLeaves))
 	m.Unconverged.Add(int64(rs.Unconverged))
@@ -196,8 +194,7 @@ type MetricsSnapshot struct {
 	JobsCancelled int64 `json:"jobs_cancelled"`
 	QueueDepth    int64 `json:"queue_depth"`
 
-	ADMMIters  int64 `json:"admm_iters"`
-	WarmStarts int64 `json:"warm_starts"`
+	ADMMIters int64 `json:"admm_iters"`
 
 	// BatchBuckets / BatchedLeaves report the batched leaf dispatch:
 	// distinct leaf dimensions solved (summed per round) and leaf solves
@@ -279,7 +276,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		JobsCancelled:    m.Cancelled.Load(),
 		QueueDepth:       m.Queued.Load(),
 		ADMMIters:        m.ADMMIters.Load(),
-		WarmStarts:       m.WarmStarts.Load(),
 		VerifyRuns:       m.VerifyRuns.Load(),
 		VerifyViolations: m.VerifyViolations.Load(),
 		SessionsActive:   m.SessionsActive.Load(),

@@ -96,7 +96,6 @@ func runJob(ctx context.Context, spec *JobSpec, onRound func(core.RoundStats), l
 	}
 	for _, rs := range res.RoundLog {
 		out.ADMMIters += rs.ADMMIters
-		out.WarmStarts += rs.WarmStarts
 		out.BatchedLeaves += rs.BatchedLeaves
 	}
 	if spec.Legalize {

@@ -450,15 +450,36 @@ func TestSubmitValidationAndLimits(t *testing.T) {
 // (auto|off|float32 leaf dispatch) is refused with a 400 naming the field,
 // never silently ignored, and that no job is admitted for it.
 func TestRemovedBatchOptionRejected(t *testing.T) {
+	var bodies []string
+	for _, mode := range []string{"float32", "off", "auto"} {
+		bodies = append(bodies, `{"benchmark":"adaptec1","options":{"batch":"`+mode+`"}}`)
+	}
+	assertFieldRejected(t, "/v1/jobs", "batch", bodies)
+}
+
+// TestRemovedWarmStartOptionRejected checks the same for the retired
+// "warm_start" option (X-seeded ADMM leaf solves), on jobs and sessions.
+func TestRemovedWarmStartOptionRejected(t *testing.T) {
+	bodies := []string{
+		`{"benchmark":"adaptec1","options":{"warm_start":true}}`,
+		`{"benchmark":"adaptec1","options":{"warm_start":false}}`,
+	}
+	assertFieldRejected(t, "/v1/jobs", "warm_start", bodies)
+	assertFieldRejected(t, "/v1/sessions", "warm_start", bodies)
+}
+
+// assertFieldRejected POSTs each body to path and requires a 400 whose error
+// names field, with no job run and no session created.
+func assertFieldRejected(t *testing.T, path, field string, bodies []string) {
+	t.Helper()
 	var runs atomic.Int64
 	counting := func(ctx context.Context, spec *JobSpec, onRound func(core.RoundStats)) (*JobResult, error) {
 		runs.Add(1)
 		return &JobResult{}, nil
 	}
 	srv, ts := newTestServer(t, Config{Runner: counting})
-	for _, mode := range []string{"float32", "off", "auto"} {
-		body := `{"benchmark":"adaptec1","options":{"batch":"` + mode + `"}}`
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	for _, body := range bodies {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatalf("POST: %v", err)
 		}
@@ -466,14 +487,15 @@ func TestRemovedBatchOptionRejected(t *testing.T) {
 		json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("batch %q: status %d, want 400", mode, resp.StatusCode)
+			t.Errorf("POST %s %s: status %d, want 400", path, body, resp.StatusCode)
 		}
-		if !strings.Contains(e.Error, `unknown field "batch"`) {
-			t.Errorf("batch %q: error %q does not name the field", mode, e.Error)
+		if !strings.Contains(e.Error, `unknown field "`+field+`"`) {
+			t.Errorf("POST %s %s: error %q does not name the field", path, body, e.Error)
 		}
 	}
-	if n := srv.Metrics().Snapshot().JobsAccepted; n != 0 || runs.Load() != 0 {
-		t.Fatalf("rejected specs admitted %d jobs, ran %d", n, runs.Load())
+	snap := srv.Metrics().Snapshot()
+	if snap.JobsAccepted != 0 || snap.SessionsCreated != 0 || runs.Load() != 0 {
+		t.Fatalf("rejected specs admitted %d jobs and %d sessions, ran %d", snap.JobsAccepted, snap.SessionsCreated, runs.Load())
 	}
 }
 

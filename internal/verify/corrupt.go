@@ -300,6 +300,7 @@ func CorruptSDP(rng *rand.Rand, res *sdp.Result) (*sdp.Result, string) {
 		DualRes:   res.DualRes,
 		Iters:     res.Iters,
 		Converged: res.Converged,
+		Mu:        res.Mu,
 		Warm:      res.Warm,
 	}
 	switch rng.Intn(5) {

@@ -41,8 +41,10 @@ if awk -v got="$cover_total" -v min="$cover_min" 'BEGIN { exit !(got < min) }'; 
 fi
 
 # Allocation-regression gate: the PSD projection fast path and the pooled
-# matmul must stay allocation-free in steady state (baselines recorded in
-# BENCH_kernels.json by `make bench-kernels`).
+# matmul must stay allocation-free in steady state at GOMAXPROCS=1, and must
+# not allocate more than their kernel-pool helper goroutines at
+# GOMAXPROCS=2 (per-GOMAXPROCS baselines recorded in BENCH_kernels.json by
+# `make bench-kernels`).
 go run ./cmd/benchkernels -gate
 
 # Incremental-reuse smoke gate: one capacity delta on a small-suite instance
